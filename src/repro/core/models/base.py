@@ -6,7 +6,7 @@ A model accumulates :class:`~repro.core.point.MeasurementPoint` objects (via
 The *speed* in computation units per second is derived as ``x / t(x)``, and
 in FLOP/s as ``complexity(x) / t(x)``.
 
-Two mechanisms keep the hot paths fast:
+Three mechanisms keep the hot paths fast:
 
 * **Lazy rebuilds.**  :meth:`update` and :meth:`update_many` only record
   points and mark the model dirty; the (possibly expensive) fit runs once,
@@ -23,6 +23,10 @@ Two mechanisms keep the hot paths fast:
   function for a batch of time levels -- the inner operation of the
   geometrical partitioning algorithm -- with a vectorized bisection that
   subclasses may replace with closed forms.
+* **A mutation counter.**  ``update`` and ``update_many`` are the only
+  mutators of a model's points; each bumps ``_version``, so derived state
+  (the plan-cache fingerprint of :mod:`repro.serve.fingerprint`) can be
+  memoised on the model and recomputed only after an ingest.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ class PerformanceModel(abc.ABC):
     def __init__(self) -> None:
         self._points: List[MeasurementPoint] = []
         self._dirty = False
+        #: Mutation counter, bumped on every ingest.  Memos of derived
+        #: state (the serving layer's fingerprint) key on it: a memo taken
+        #: at version ``v`` is valid exactly while ``_version == v``.
+        self._version = 0
 
     @property
     def points(self) -> Sequence[MeasurementPoint]:
@@ -69,6 +77,12 @@ class PerformanceModel(abc.ABC):
 
     #: Minimum number of points before :meth:`time` may be called.
     min_points: int = 1
+
+    #: Whether :meth:`allocation_batch` is a closed-form inversion whose
+    #: result depends on the level alone, never on its ``lo``/``hi``
+    #: bracket hints.  Warm-started geometric solves skip bisection steps
+    #: only over such models (:mod:`repro.core.partition.warm`).
+    exact_inverse: bool = False
 
     @staticmethod
     def _validate_point(point: MeasurementPoint) -> None:
@@ -97,6 +111,7 @@ class PerformanceModel(abc.ABC):
         self._validate_point(point)
         self._points.append(point)
         self._dirty = True
+        self._version += 1
 
     def update_many(self, points: Sequence[MeasurementPoint]) -> None:
         """Add several points in one go (single deferred rebuild)."""
@@ -104,6 +119,7 @@ class PerformanceModel(abc.ABC):
             self._validate_point(point)
         self._points.extend(points)
         self._dirty = True
+        self._version += 1
 
     def _ensure_built(self) -> None:
         """Run the deferred :meth:`_rebuild` if new points arrived."""

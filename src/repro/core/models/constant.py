@@ -21,6 +21,7 @@ class ConstantModel(PerformanceModel):
     """CPM: ``t(x) = x / s`` with a constant speed ``s`` in units/second."""
 
     min_points = 1
+    exact_inverse = True
 
     def __init__(self) -> None:
         super().__init__()

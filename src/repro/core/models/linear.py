@@ -34,6 +34,7 @@ class LinearModel(PerformanceModel):
     """
 
     min_points = 1
+    exact_inverse = True
 
     def __init__(self) -> None:
         super().__init__()

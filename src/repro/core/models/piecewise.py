@@ -32,6 +32,7 @@ class PiecewiseModel(PerformanceModel):
     """FPM with coarsened piecewise-linear speed interpolation."""
 
     min_points = 1
+    exact_inverse = True
 
     def __init__(self) -> None:
         super().__init__()

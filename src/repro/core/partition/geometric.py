@@ -99,11 +99,13 @@ def partition_geometric(
             appended to it (and always attached to the returned
             distribution as ``.convergence``).
         warm_start: optional :class:`~repro.core.partition.warm.WarmStart`
-            from a previously solved nearby plan.  Used only to narrow
-            the *initial* bracket (the stopping criterion and rounding
-            are untouched), so the result is identical to a cold solve
-            with fewer -- never more -- bisection iterations.  A
-            misleading hint is discarded, not trusted.
+            from a previously solved nearby plan.  Used only to skip
+            the bisection steps whose probe signs the hint already
+            certifies (the probed levels, stopping criterion and
+            rounding are the cold solve's), so the result is identical
+            to a cold solve with fewer -- never more -- evaluated
+            iterations.  A misleading hint is discarded, not trusted;
+            over models without an ``exact_inverse`` it is ignored.
 
     Returns:
         A :class:`Distribution` summing exactly to ``total``.
@@ -151,14 +153,17 @@ def partition_geometric(
     # t_hi the fastest process alone reaches D.  alloc_lo/alloc_hi are the
     # per-model allocations at the bracketing levels; they bound every
     # allocation probed inside the bracket (x_i(T) is monotone in T).
-    if warm_start is not None:
-        lo, hi, alloc_lo, alloc_hi = warm_bracket(
-            warm_start, total, models, cap, t_hi
-        )
-    else:
-        lo, hi = 0.0, t_hi
-        alloc_lo = np.zeros(size)
-        alloc_hi = np.full(size, cap)
+    lo, hi = 0.0, t_hi
+    alloc_lo = np.zeros(size)
+    alloc_hi = np.full(size, cap)
+    # A warm hint certifies a bracket (known_lo, known_hi) around the root;
+    # steps whose probes all lie outside it are taken without evaluating
+    # the models, so the probed levels stay the cold solve's.
+    known = None
+    if warm_start is not None and all(
+        getattr(model, "exact_inverse", False) for model in models
+    ):
+        known = warm_bracket(warm_start, total, models, cap, t_hi)
     level: Optional[float] = None
     exact: Optional[np.ndarray] = None
     converged = False
@@ -169,8 +174,19 @@ def partition_geometric(
         if hi - lo <= tol * max(1.0, abs(lo), abs(hi)):
             converged = True
             break
-        iterations += 1
         levels = lo + (hi - lo) * fractions
+        if known is not None:
+            # First probe above the known bracket: every probe before it
+            # lies at or below known_lo (excess < 0), the rest above
+            # known_hi (excess > 0) -- unless one falls inside it.
+            j = int(np.searchsorted(levels, known[1], side="right"))
+            if j == 0 or levels[j - 1] <= known[0]:
+                if j < levels.size:
+                    hi = float(levels[j])
+                if j > 0:
+                    lo = float(levels[j - 1])
+                continue
+        iterations += 1
         allocs = allocations_at_levels(models, levels, cap, alloc_lo, alloc_hi)
         residuals = allocs.sum(axis=0) - cap
         for j in range(levels.size):

@@ -248,6 +248,25 @@ class BlendedModel(PerformanceModel):
     def is_ready(self) -> bool:
         return self._tm.is_ready and self._em.is_ready
 
+    @property
+    def _version(self) -> Optional[int]:
+        """The blend's mutation counter: the sum of its components'.
+
+        The fitted state lives in the components, so a memoised
+        fingerprint of the blend must go stale when either ingests; both
+        counters only grow, so their sum changes exactly when one does.
+        ``None`` (no memo) when a component carries no counter.
+        """
+        tm = getattr(self._tm, "_version", None)
+        em = getattr(self._em, "_version", None)
+        return None if tm is None or em is None else tm + em
+
+    @_version.setter
+    def _version(self, value: int) -> None:
+        # Points ingested into the blend itself never reach its fitted
+        # state, so its own ingests have nothing to count.
+        pass
+
     def _rebuild(self) -> None:  # components own their fits
         pass
 

@@ -10,23 +10,30 @@ with it.
 A :class:`WarmStart` packages that seed: the source plan's total, its
 equal-time level (the predicted makespan) and its integer shares.  The
 iterative partitioners accept one through their ``warm_start`` parameter
-and use it only to *narrow the initial search bracket* -- never to change
-the stopping criterion or the rounding -- so a warm-started solve
-converges to the same distribution a cold solve finds, in fewer (or at
-worst equally many) iterations.  That invariant is what lets the plan
+and use it only to *skip work* -- never to change the probed levels, the
+stopping criterion or the rounding -- so a warm-started solve converges
+to the same distribution a cold solve finds, in fewer (or at worst
+equally many) iterations.  That invariant is what lets the plan
 cache substitute warm results for cold ones bit-for-bit; the parity suite
 (``tests/test_serve_warm_parity.py``) enforces it for every registered
 partitioner and model family.
 
 A hint that turns out to be wrong (e.g. from unrelated models) cannot
 produce a wrong answer: bracket candidates are validated against the
-bisection invariant before they replace the cold bracket ends.
+bisection invariant before the bisection trusts their signs.
+
+Skipping is exact only over models whose ``allocation_batch`` depends on
+the level alone (``exact_inverse``: the closed-form constant, linear and
+piecewise inversions).  The generic inversion narrows its own search by
+the allocations of earlier bisection steps, so a skipped step would
+change its last bits; over such models the hint is ignored and the solve
+runs cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 
@@ -102,54 +109,60 @@ def warm_start_from(dist, total: int = 0) -> WarmStart:
     )
 
 
+#: Candidate levels probed around a hint, as multiples of its scaled level.
+_LADDER = (0.5, 0.9, 0.97, 0.99, 0.997, 1.003, 1.01, 1.03, 1.1, 2.0)
+
+
 def warm_bracket(
     warm: WarmStart,
     total: int,
     models: Sequence,
     cap: float,
     t_hi: float,
-):
-    """Shrink the geometric bisection's initial bracket using a warm hint.
+) -> Optional[Tuple[float, float]]:
+    """The root bracket a warm hint certifies for the geometric bisection.
 
     Probes a small batch of candidate levels around the scaled hint (one
     :func:`~repro.core.partition.batch.allocations_at_levels` call) and
-    keeps the tightest pair that preserves the bisection invariant
-    ``excess(lo) < 0 <= excess(hi)``.  Candidates that violate it are
-    simply discarded, so a misleading hint degrades to the cold bracket
-    rather than to a wrong answer.
+    keeps the tightest pair ``(lo, hi)`` with ``excess(lo) < 0 <
+    excess(hi)`` (strictly: the bisection stops early on an exact zero,
+    so a level whose sign is to be trusted must not be one).  Candidates
+    that break the invariant are simply discarded, so a misleading hint
+    degrades to ``None`` -- a cold solve -- rather than to a wrong answer.
+
+    The bisection does not *start* from this bracket: it replays the cold
+    solve's own probe levels and takes, without evaluating the models,
+    every step whose probes all fall outside ``(lo, hi]`` -- their signs
+    follow from the excess being monotone in the level.  The levels it
+    visits, and so its answer, are therefore the cold solve's exactly.
 
     Returns:
-        ``(lo, hi, alloc_lo, alloc_hi)`` -- the (possibly) narrowed
-        bracket and the per-model allocations at its ends.
+        ``(lo, hi)``, or ``None`` when the hint narrows nothing.
     """
     import numpy as np
 
     from repro.core.partition.batch import allocations_at_levels
 
-    size = len(models)
-    lo, hi = 0.0, t_hi
-    alloc_lo = np.zeros(size)
-    alloc_hi = np.full(size, cap)
     t_est = warm.scaled_level(total)
     if not (0.0 < t_est < t_hi):
-        return lo, hi, alloc_lo, alloc_hi
-    # A tight pair around the hint plus looser guards; sorted and unique.
+        return None
+    # A ladder of ever looser pairs around the hint, all probed in one
+    # batched call; sorted and unique.  Each ninefold tightening of the
+    # pair that holds saves the default 8-probe bisection about a step.
     candidates = np.unique(np.clip(
-        np.asarray([0.5 * t_est, 0.95 * t_est, 1.05 * t_est, 2.0 * t_est]),
-        0.0, t_hi,
+        t_est * np.asarray(_LADDER), 0.0, t_hi,
     ))
     candidates = candidates[(candidates > 0.0) & (candidates < t_hi)]
     if candidates.size == 0:
-        return lo, hi, alloc_lo, alloc_hi
-    allocs = allocations_at_levels(models, candidates, cap, alloc_lo, alloc_hi)
-    residuals = allocs.sum(axis=0) - cap
-    for j in range(candidates.size):
-        level = float(candidates[j])
-        if residuals[j] < 0.0 and level > lo:
+        return None
+    residuals = allocations_at_levels(models, candidates, cap).sum(axis=0) - cap
+    lo, hi = 0.0, t_hi
+    for level, residual in zip(candidates.tolist(), residuals.tolist()):
+        if residual < 0.0:
             lo = level
-            alloc_lo = allocs[:, j]
-        elif residuals[j] >= 0.0 and level < hi:
+        elif residual > 0.0:
             hi = level
-            alloc_hi = allocs[:, j]
             break  # candidates are sorted; later ones are looser
-    return lo, hi, alloc_lo, alloc_hi
+    if lo == 0.0 and hi == t_hi:
+        return None
+    return lo, hi

@@ -295,7 +295,7 @@ class PlanCache:
 
         This is the warm-start lookup: an exact-key miss can still find a
         plan for the *same devices* at a different problem size, whose
-        equal-time level scales to a tight initial bracket.  Ties go to
+        equal-time level scales to a tight bracket on the root.  Ties go to
         the smaller total (conservative bracket).  Only plans of the same
         ``kind`` are considered: a pareto front's selected point sits at
         some blend of time and energy, so its level would mis-seed a

@@ -117,11 +117,14 @@ class PlanEngine:
     ) -> PlanRequest:
         """Build the content-addressed request for ``models`` at ``total``.
 
-        The model fingerprint is recomputed on every call -- the dynamic
-        loops mutate models between requests, and a stale fingerprint
-        would serve a stale plan.  For non-``"time"`` kinds the energy
-        models fingerprint the same way, so refitting the power side
-        alone changes exactly the energy-keyed identities.
+        The model-set fingerprint is rebuilt on every call from the
+        per-model fingerprints, each memoised on its model against the
+        model's mutation counter -- the dynamic loops mutate models
+        between requests, so a model re-digests its fitted state exactly
+        when ``update``/``update_many`` changed it, and a stale
+        fingerprint can never serve a stale plan.  For non-``"time"``
+        kinds the energy models fingerprint the same way, so refitting
+        the power side alone changes exactly the energy-keyed identities.
         """
         if kind != "time" and not energy_models:
             raise PartitionError(

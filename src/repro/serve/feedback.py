@@ -14,7 +14,8 @@ on.  The trust boundary has three layers:
 2. **Quarantine scoring** (:class:`FeedbackQuarantine`): a well-formed
    report is scored against the *current* models.  Non-finite or
    non-positive timings, timings outside the ``k``-ratio outlier gate,
-   impossible size vectors and rate-limit violations reject the whole
+   impossible size vectors (including an idle, size-0 rank reporting a
+   nonzero time) and rate-limit violations reject the whole
    report with :class:`~repro.errors.FeedbackRejected` (reasons named),
    and every rejection is recorded -- source and all -- in a
    :class:`QuarantineReport` (the :mod:`repro.faults` reporting idiom).
@@ -336,7 +337,8 @@ class FeedbackQuarantine:
         details: List[str] = []
         if (
             len(report.sizes) != len(models)
-            or any(size < 1 for size in report.sizes)
+            or report.total < 1
+            or any(size < 0 for size in report.sizes)
             or sum(report.sizes) != report.total
         ):
             reasons.append("impossible-sizes")
@@ -345,7 +347,22 @@ class FeedbackQuarantine:
                 f"total={report.total} over {len(models)} ranks"
             )
             return reasons, details
+        # A plan may leave a rank idle (size 0); an idle rank did no work,
+        # so the only honest time it can report is 0.0.
+        busy_idle = [
+            rank for rank, (size, t) in enumerate(zip(report.sizes, report.times))
+            if size == 0 and t != 0.0
+        ]
+        if busy_idle:
+            reasons.append("impossible-sizes")
+            details.extend(
+                f"rank {rank}: size 0 with time {report.times[rank]!r}"
+                for rank in busy_idle
+            )
+            return reasons, details
         for rank, (size, t) in enumerate(zip(report.sizes, report.times)):
+            if size == 0:
+                continue  # idle: nothing measured, nothing to gate
             if not math.isfinite(t):
                 if "non-finite" not in reasons:
                     reasons.append("non-finite")
@@ -655,7 +672,8 @@ class FeedbackController:
         out: List[List[Any]] = [[] for _ in range(ranks)]
         for report in reports:
             for rank, (size, t) in enumerate(zip(report.sizes, report.times)):
-                out[rank].append(MeasurementPoint(d=int(size), t=float(t)))
+                if size > 0:  # an idle rank measured nothing
+                    out[rank].append(MeasurementPoint(d=int(size), t=float(t)))
         return out
 
     @staticmethod
@@ -663,7 +681,8 @@ class FeedbackController:
         """Mean relative prediction error of ``models`` on ``holdback``.
 
         The regression gate's metric: ``|pred - t| / max(t, eps)``
-        averaged over every (rank, point) in the held-back reports.
+        averaged over every busy (rank, point) in the held-back reports
+        (idle, size-0 ranks measured nothing and are skipped).
         Unscorable ranks (model cannot predict) contribute the worst
         case, so a candidate that *lost* the ability to predict cannot
         pass the gate by silence.
@@ -671,6 +690,8 @@ class FeedbackController:
         errors: List[float] = []
         for report in holdback:
             for rank, (size, t) in enumerate(zip(report.sizes, report.times)):
+                if size == 0:
+                    continue  # an idle rank has nothing to predict
                 try:
                     pred = float(models[rank].time(float(size)))
                 except (FuPerModError, ValueError, OverflowError):

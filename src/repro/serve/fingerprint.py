@@ -82,6 +82,14 @@ def fingerprint_model(model) -> str:
     Delegates to the model's ``fingerprint_state`` hook (resolving the
     lazy fit), so equality of fingerprints means equality of the fitted
     parameters predictions actually use.
+
+    The digest is memoised on the model against its mutation counter
+    (``_version``, bumped by ``update``/``update_many``), so a cache hit
+    costs one attribute compare per model instead of a re-encode of the
+    fitted state.  The version is read *before* the state: an ingest
+    racing this call can only leave a memo that misses next time, never
+    one that hits on old parameters.  Duck-typed models without a
+    counter are digested afresh on every call.
     """
     state = getattr(model, "fingerprint_state", None)
     if state is None:
@@ -89,7 +97,15 @@ def fingerprint_model(model) -> str:
             f"{type(model).__name__} has no fingerprint_state hook; "
             "serving requires a fingerprintable PerformanceModel"
         )
-    return digest("model", state())
+    version = getattr(model, "_version", None)
+    if version is None:
+        return digest("model", state())
+    memo = getattr(model, "_fingerprint_memo", None)
+    if memo is not None and memo[0] == version:
+        return memo[1]
+    fp = digest("model", state())
+    model._fingerprint_memo = (version, fp)
+    return fp
 
 
 def fingerprint_models(models: Sequence) -> str:

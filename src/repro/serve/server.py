@@ -130,8 +130,9 @@ class PlanServer:
         ``energy_models[i]`` must model the same device as
         ``models[i]`` (joules instead of seconds), so the lists must
         match in length.  Like the speed models, the energy models are
-        re-fingerprinted per request -- refitting the power side alone
-        changes exactly the energy-keyed cache identities.
+        fingerprinted per request through the per-model memo, which an
+        ``update``/``update_many`` invalidates -- refitting the power
+        side alone changes exactly the energy-keyed cache identities.
         """
         energy_models = list(energy_models)
         if len(energy_models) != len(self.models):
@@ -175,8 +176,9 @@ class PlanServer:
         """The plan iff it is already cached locally; never queues work.
 
         This is the asyncio front end's fast lane: a cache hit is served
-        inline on the event loop (fingerprint + LRU lookup, microseconds)
-        instead of round-tripping through the worker pool.  A miss
+        inline on the event loop (memoised per-model fingerprints, one
+        model-set digest and an LRU lookup: microseconds) instead of
+        round-tripping through the worker pool.  A miss
         returns ``None`` without counting it -- the caller falls back to
         :meth:`request`, whose engine path counts the miss exactly once.
         """

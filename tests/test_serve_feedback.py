@@ -237,6 +237,76 @@ class TestQuarantineScoring:
 FAMILIES = ["constant", "piecewise", "akima", "linear", "pchip", "segmented"]
 
 
+class TestIdleRanks:
+    """A solve may give a rank zero units; its honest report is time 0.0."""
+
+    def idle_payload(self, **kw):
+        # Rank 2 idle: its 400 units moved to rank 1.
+        return honest_payload(sizes=(100, 600, 0), **kw)
+
+    def test_idle_rank_reporting_zero_time_is_accepted(self):
+        quarantine = FeedbackQuarantine()
+        payload = self.idle_payload()
+        assert payload["times"][2] == 0.0
+        quarantine.admit(FeedbackReport.from_payload(payload), make_models())
+        assert quarantine.report.accepted == 1
+
+    def test_idle_rank_skips_the_ratio_gate(self):
+        # A model that cannot predict at all for the idle rank is never
+        # consulted: the idle rank has nothing to gate.
+        class Unpredictable:
+            def time(self, x):
+                raise AssertionError("idle rank was scored")
+
+        models = make_models()
+        models[2] = Unpredictable()
+        FeedbackQuarantine().admit(
+            FeedbackReport.from_payload(self.idle_payload()), models
+        )
+
+    @pytest.mark.parametrize("total,sizes,times,detail", [
+        # An idle rank claiming it worked: any nonzero time, NaN included.
+        (700, (100, 600, 0), (1.0, 3.0, 0.5), "rank 2: size 0"),
+        (700, (100, 600, 0), (1.0, 3.0, float("nan")), "rank 2: size 0"),
+        (700, (100, 600, 0), (1.0, 3.0, -1e-9), "rank 2: size 0"),
+        # Negative sizes and wrong sums stay impossible with idle ranks.
+        (700, (800, -100, 0), (8.0, 0.0, 0.0), "cannot come from a plan"),
+        (699, (100, 600, 0), (1.0, 3.0, 0.0), "cannot come from a plan"),
+    ])
+    def test_impossible_idle_reports_are_rejected(
+        self, total, sizes, times, detail
+    ):
+        payload = honest_payload(total=total, sizes=sizes)
+        payload["times"] = list(times)
+        with pytest.raises(FeedbackRejected) as excinfo:
+            FeedbackQuarantine().admit(
+                FeedbackReport.from_payload(payload), make_models()
+            )
+        assert excinfo.value.reasons == ("impossible-sizes",)
+        assert detail in str(excinfo.value)
+
+    def test_all_idle_report_for_a_zero_total_is_rejected(self):
+        payload = honest_payload(total=0, sizes=(0, 0, 0))
+        with pytest.raises(FeedbackRejected) as excinfo:
+            FeedbackQuarantine().admit(
+                FeedbackReport.from_payload(payload), make_models()
+            )
+        assert excinfo.value.reasons == ("impossible-sizes",)
+
+    def test_idle_rank_adds_no_point_to_the_refit(self):
+        server, lineage, controller = make_loop(refit_every=4)
+        counts = [model.count for model in server.models]
+        for _ in range(4):
+            out = server.feedback.handle(self.idle_payload(factor=2.0))
+        assert out["refit"] == "committed"
+        # Three reports trained (one held back): ranks 0 and 1 gained a
+        # point each, idle rank 2 gained none.
+        assert [model.count for model in server.models] == [
+            counts[0] + 3, counts[1] + 3, counts[2]
+        ]
+        assert controller.counters.refits == 1
+
+
 class TestModelIngestBoundary:
     """Every family shares one typed rejection at the ingest boundary.
 

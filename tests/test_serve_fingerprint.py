@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from tests.conftest import model_from_time_fn
@@ -13,6 +16,12 @@ from repro.core.models import (
     PiecewiseModel,
     SegmentedLinearModel,
 )
+from repro.core.models.energy import (
+    ConstantEnergyModel,
+    LinearEnergyModel,
+    PiecewiseEnergyModel,
+)
+from repro.core.partition.pareto import BlendedModel
 from repro.core.point import MeasurementPoint
 from repro.errors import FuPerModError
 from repro.serve.fingerprint import (
@@ -115,6 +124,148 @@ class TestModelFingerprints:
     def test_unfingerprintable_object_raises(self):
         with pytest.raises(FuPerModError, match="fingerprint_state"):
             fingerprint_model(object())
+
+
+#: Every speed family and energy twin, mapped to the model of the other
+#: objective fitted alongside it (``energy_model_for`` and its inverse).
+OBJECTIVE_TWIN = {
+    ConstantModel: ConstantEnergyModel,
+    LinearModel: LinearEnergyModel,
+    PiecewiseModel: PiecewiseEnergyModel,
+    AkimaModel: PiecewiseEnergyModel,
+    PchipModel: PiecewiseEnergyModel,
+    SegmentedLinearModel: PiecewiseEnergyModel,
+    ConstantEnergyModel: ConstantModel,
+    LinearEnergyModel: LinearModel,
+    PiecewiseEnergyModel: PiecewiseModel,
+}
+
+
+def _point(d, slowdown):
+    return MeasurementPoint(d=d, t=_time_fn(d) * slowdown, reps=1, ci=0.0)
+
+
+class TestFingerprintMemo:
+    """Per-model memo keyed on the mutation counter: never stale."""
+
+    @pytest.mark.parametrize(
+        "model_cls", list(OBJECTIVE_TWIN), ids=lambda cls: cls.__name__
+    )
+    def test_memo_follows_every_ingest(self, model_cls):
+        model = model_from_time_fn(model_cls, _time_fn, SIZES)
+        twin = model_from_time_fn(OBJECTIVE_TWIN[model_cls], _time_fn, SIZES)
+        real_state = model.fingerprint_state
+        calls = []
+
+        def spy():
+            calls.append(1)
+            return real_state()
+
+        model.fingerprint_state = spy
+        ingests = [
+            lambda m: None,
+            lambda m: m.update(_point(2048, 2.0)),
+            lambda m: m.update_many([_point(512, 1.5), _point(8192, 1.5)]),
+        ]
+        seen = set()
+        for ingest in ingests:
+            ingest(model)
+            ingest(twin)
+            fp = fingerprint_model(model)
+            assert fp == digest("model", real_state())
+            assert fp not in seen, "an ingest left the fingerprint unchanged"
+            seen.add(fp)
+            calls.clear()
+            assert fingerprint_model(model) == fp
+            assert calls == [], "a repeat call re-derived the fitted state"
+            assert fingerprint_model(twin) != fp
+
+    def test_ingest_racing_the_digest_only_costs_a_miss(self):
+        model = model_from_time_fn(PiecewiseModel, _time_fn, SIZES)
+        real_state = model.fingerprint_state
+
+        def state_then_ingest():
+            # The state is taken, then another thread ingests before the
+            # memo is stored: the memo must not pass for the new version.
+            state = real_state()
+            model.update(_point(2048, 2.0))
+            return state
+
+        model.fingerprint_state = state_then_ingest
+        fingerprint_model(model)
+        model.fingerprint_state = real_state
+        assert fingerprint_model(model) == digest("model", real_state())
+
+    def test_blend_memo_follows_its_components(self):
+        speed = model_from_time_fn(PiecewiseModel, _time_fn, SIZES)
+        energy = model_from_time_fn(PiecewiseEnergyModel, _time_fn, SIZES)
+        blend = BlendedModel(speed, energy, 0.5, 0.5)
+        before = fingerprint_model(blend)
+        energy.update(_point(2048, 2.0))
+        after = fingerprint_model(blend)
+        assert after != before
+        assert after == digest("model", blend.fingerprint_state())
+
+    def test_concurrent_ingest_never_serves_an_older_version(self):
+        # A model whose state is a thread-safe snapshot, so the race under
+        # test is the memo's alone: every fingerprint a reader gets must
+        # be of a version at least as new as the one it saw before asking.
+        class Growing:
+            def __init__(self):
+                self._points = []
+                self._version = 0
+
+            def ingest(self, value):
+                self._points.append(value)
+                self._version += 1
+
+            def fingerprint_state(self):
+                return ("Growing", tuple(self._points))
+
+        model = Growing()
+        done = threading.Event()
+        seen = []
+
+        def reader():
+            while not done.is_set():
+                before = model._version
+                seen.append((before, fingerprint_model(model)))
+
+        readers = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(200):
+                model.ingest(i)
+                fingerprint_model(model)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        version_of = {
+            digest("model", ("Growing", tuple(range(k)))): k
+            for k in range(201)
+        }
+        assert seen
+        for before, fp in seen:
+            assert version_of[fp] >= before
+        assert version_of[fingerprint_model(model)] == 200
+
+    def test_unversioned_model_is_digested_every_call(self):
+        calls = []
+
+        class DuckModel:
+            def fingerprint_state(self):
+                calls.append(1)
+                return ("DuckModel", len(calls))
+
+        duck = DuckModel()
+        assert fingerprint_model(duck) != fingerprint_model(duck)
+        assert len(calls) == 2
 
 
 class TestModelSetAndRequest:
